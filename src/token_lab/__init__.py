@@ -23,10 +23,8 @@ from .population import (
     PopulationStrategy,
     Protocol,
     SteadyState,
-    ThresholdStrategy,
     invariant_distribution,
     one_step_update,
-    sigma_gamma,
 )
 from .values import (
     CoefficientTriple,
@@ -53,12 +51,9 @@ from .design import (
     SearchResult,
     ThresholdBounds,
     bisection_design,
-    bounds_grid,
-    canonical_classification_grid,
     classification_sweep,
     efficiency,
     efficiency_bounds,
-    efficiency_grid,
     exhaustive_scan,
     fixed_threshold_sweep,
     optimal_efficiency_sweep,
@@ -85,13 +80,11 @@ __all__ = [
     "NoEquilibriumFound",
     "InfeasibleAllocation",
     "PopulationParams",
-    "ThresholdStrategy",
     "PopulationStrategy",
     "Protocol",
     "SteadyState",
     "invariant_distribution",
     "one_step_update",
-    "sigma_gamma",
     "CoefficientTriple",
     "MarginalProfile",
     "coefficients",
@@ -118,9 +111,6 @@ __all__ = [
     "exhaustive_scan",
     "optimal_protocol_search",
     "classification_sweep",
-    "canonical_classification_grid",
-    "bounds_grid",
-    "efficiency_grid",
     "optimal_efficiency_sweep",
     "fixed_threshold_sweep",
     "SimConfig",

@@ -23,15 +23,14 @@ finds a higher threshold with fewer tokens strictly more efficient.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .equilibrium import (
     CLASS_TOL,
     EquilibriumClass,
     EquilibriumReport,
+    _slacks,
     check_equilibrium,
     classify,
     mixed_equilibrium_weight,
@@ -44,7 +43,6 @@ from .population import (
     SteadyState,
     invariant_distribution,
 )
-from .values import solve_marginals
 
 DEFAULT_ALPHA_STEPS = 200
 
@@ -120,22 +118,12 @@ class DesignResult:
         }
 
 
-def _canonical_slacks(
-    K: int, params: PopulationParams
-) -> tuple[float, float, SteadyState]:
-    steady = invariant_distribution(Protocol.pi_k(K))
-    m = solve_marginals(K, params, steady).M
-    bar = params.c / params.beta
-    return m[K - 1] - bar, bar - m[K], steady
-
-
 def bisection_design(params: PopulationParams, tol: float = CLASS_TOL) -> DesignResult:
     """Find an equilibrium canonical protocol by bisecting on the threshold.
 
     Midpoints are integers inside [K_L, K_H]; a failed climbing condition
     discards everything to the right, a failed stopping condition everything
-    to the left.  The final candidate is re-checked through the ordinary
-    classifier.  Raises NoEquilibriumFound when the integer range is empty or
+    to the left.  Raises NoEquilibriumFound when the integer range is empty or
     the run of equilibrium thresholds misses it (the bracket is necessary,
     not sufficient).
     """
@@ -147,13 +135,9 @@ def bisection_design(params: PopulationParams, tol: float = CLASS_TOL) -> Design
     while lo <= hi:
         K = (lo + hi) // 2
         iterations += 1
-        slack_low, slack_high, _ = _canonical_slacks(K, params)
-        tag = classify(slack_low, slack_high, tol)
-        trail.append((K, slack_low, slack_high, tag.value))
-        if tag is not EquilibriumClass.NOT_EQUILIBRIUM:
-            report = check_equilibrium(Protocol.pi_k(K), params, tol)
-            if not report.is_equilibrium:  # pragma: no cover - same computation
-                break
+        report = check_equilibrium(Protocol.pi_k(K), params, tol)
+        trail.append((K, report.slack_low, report.slack_high, report.tag.value))
+        if report.is_equilibrium:
             return DesignResult(
                 K_star=K,
                 alpha_star=K / 2.0,
@@ -162,7 +146,7 @@ def bisection_design(params: PopulationParams, tol: float = CLASS_TOL) -> Design
                 trail=tuple(trail),
                 bounds=bounds,
             )
-        if slack_low < -tol:
+        if report.slack_low < -tol:
             hi = K - 1  # no larger threshold can satisfy the climbing condition
         else:
             lo = K + 1  # no smaller threshold can satisfy the stopping condition
@@ -179,11 +163,9 @@ def exhaustive_scan(
     (default: a little beyond the upper bound).  Oracle for the bisection."""
     if K_max is None:
         K_max = math.ceil(threshold_bounds(params).K_H) + 5
-    out: dict[int, EquilibriumReport] = {}
-    for K in range(1, K_max + 1):
-        slack_low, slack_high, _ = _canonical_slacks(K, params)
-        out[K] = EquilibriumReport(classify(slack_low, slack_high, tol), slack_low, slack_high)
-    return out
+    return {
+        K: check_equilibrium(Protocol.pi_k(K), params, tol) for K in range(1, K_max + 1)
+    }
 
 
 @dataclass(frozen=True)
@@ -212,17 +194,6 @@ class SearchResult:
         }
 
 
-def _robust_efficiency(
-    alpha: float, K: int, params: PopulationParams, tol: float
-) -> float | None:
-    steady = invariant_distribution(Protocol(alpha, PopulationStrategy.pure(K)))
-    m = solve_marginals(K, params, steady).M
-    bar = params.c / params.beta
-    if classify(m[K - 1] - bar, bar - m[K], tol) is EquilibriumClass.ROBUST:
-        return efficiency(steady)
-    return None
-
-
 def optimal_protocol_search(
     params: PopulationParams,
     alpha_steps: int = DEFAULT_ALPHA_STEPS,
@@ -245,9 +216,10 @@ def optimal_protocol_search(
     for K in K_range:
         for j in range(1, alpha_steps):
             alpha = j * K / alpha_steps
-            eff = _robust_efficiency(alpha, K, params, tol)
-            if eff is None:
+            steady = invariant_distribution(Protocol(alpha, PopulationStrategy.pure(K)))
+            if classify(*_slacks(K, params, steady), tol) is not EquilibriumClass.ROBUST:
                 continue
+            eff = efficiency(steady)
             if best is None or eff > best.efficiency:
                 best = ProtocolChoice(alpha=alpha, K=K, efficiency=eff)
             if alpha == K / 2.0 and (
@@ -260,78 +232,6 @@ def optimal_protocol_search(
             f"beta={params.beta}, r={params.r}"
         )
     return SearchResult(best=best, best_canonical=best_canonical)
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("TOKEN_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def grid_map(fn: Callable, cells: Sequence) -> list:
-    """Apply fn to every grid cell, optionally across TOKEN_LAB_THREADS
-    worker threads; results keep the grid order regardless of scheduling."""
-    n = min(_thread_count(), max(1, len(cells)))
-    if n == 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, cells))
-
-
-def canonical_classification_grid(
-    rho: float,
-    betas: Sequence[float],
-    rs: Sequence[float],
-    k_max: int = 10,
-    tol: float = CLASS_TOL,
-) -> list[tuple[float, float, int, str, float, float]]:
-    """Rows (beta, r, K, class, slack_low, slack_high) classifying the
-    canonical protocol Pi_K over a parameter grid."""
-
-    def one_cell(cell: tuple[float, float]) -> list:
-        beta, r = cell
-        params = PopulationParams.from_ratio(rho, beta, r)
-        rows = []
-        for K in range(1, k_max + 1):
-            slack_low, slack_high, _ = _canonical_slacks(K, params)
-            tag = classify(slack_low, slack_high, tol)
-            rows.append((beta, r, K, tag.value, slack_low, slack_high))
-        return rows
-
-    cells = [(float(b), float(r)) for b in betas for r in rs]
-    return [row for chunk in grid_map(one_cell, cells) for row in chunk]
-
-
-def bounds_grid(
-    rhos: Sequence[float], betas: Sequence[float], rs: Sequence[float]
-) -> list[tuple[float, float, float, float, float]]:
-    """Rows (rho, beta, r, K_L, K_H) of the threshold bracket over a grid."""
-    rows = []
-    for rho in rhos:
-        for beta in betas:
-            for r in rs:
-                tb = threshold_bounds(PopulationParams.from_ratio(rho, beta, r))
-                rows.append((float(rho), float(beta), float(r), tb.K_L, tb.K_H))
-    return rows
-
-
-def efficiency_grid(
-    rho: float,
-    betas: Sequence[float],
-    rs: Sequence[float],
-    alpha_steps: int = DEFAULT_ALPHA_STEPS,
-    tol: float = CLASS_TOL,
-) -> list[tuple[float, float, int, float, float, float]]:
-    """Rows (beta, r, K_star, alpha_star, eff_opt, eff_piK): the optimal-vs-
-    canonical comparison across a full (beta, r) grid."""
-    rows = []
-    for r in rs:
-        for beta, k_star, alpha_star, eff_opt, eff_pik in optimal_efficiency_sweep(
-            rho, float(r), betas, alpha_steps, tol
-        ):
-            rows.append((beta, float(r), k_star, alpha_star, eff_opt, eff_pik))
-    return rows
 
 
 def classification_sweep(
@@ -348,19 +248,16 @@ def classification_sweep(
     is the equilibrium weight on K+1 adjacent to K, NaN when none exists.
     """
     thresholds = [K for K in range(1, k_max + 1) if alpha < K]
-
-    def one_beta(beta: float) -> list[tuple[float, int, str, float]]:
+    rows = []
+    for beta in betas:
         params = PopulationParams.from_ratio(rho, beta, r)
-        rows = []
         for K in thresholds:
             report = check_equilibrium(
                 Protocol(alpha, PopulationStrategy.pure(K)), params, tol
             )
             w = mixed_equilibrium_weight(alpha, K, params, tol)
             rows.append((beta, K, report.tag.value, math.nan if w is None else w))
-        return rows
-
-    return [row for chunk in grid_map(one_beta, list(betas)) for row in chunk]
+    return rows
 
 
 def optimal_efficiency_sweep(
@@ -374,17 +271,17 @@ def optimal_efficiency_sweep(
     protocol vs best robust canonical protocol.  Zeros mark betas where no
     robust equilibrium exists (the community stays at the no-trade outcome).
     """
-
-    def one_beta(beta: float) -> tuple[float, int, float, float, float]:
+    rows = []
+    for beta in betas:
         params = PopulationParams.from_ratio(rho, beta, r)
         try:
             res = optimal_protocol_search(params, alpha_steps, tol=tol)
         except NoEquilibriumFound:
-            return (beta, 0, 0.0, 0.0, 0.0)
+            rows.append((beta, 0, 0.0, 0.0, 0.0))
+            continue
         eff_pik = 0.0 if res.best_canonical is None else res.best_canonical.efficiency
-        return (beta, res.best.K, res.best.alpha, res.best.efficiency, eff_pik)
-
-    return grid_map(one_beta, list(betas))
+        rows.append((beta, res.best.K, res.best.alpha, res.best.efficiency, eff_pik))
+    return rows
 
 
 def fixed_threshold_sweep(
@@ -401,17 +298,14 @@ def fixed_threshold_sweep(
     (supply free), 0 where no such equilibrium exists.
     """
 
-    def one_beta(beta: float) -> tuple[float, float, float]:
-        params = PopulationParams.from_ratio(rho, beta, r)
+    def best_efficiency(params: PopulationParams, K_range=None) -> float:
         try:
-            eff_opt = optimal_protocol_search(params, alpha_steps, tol=tol).best.efficiency
+            return optimal_protocol_search(params, alpha_steps, K_range, tol).best.efficiency
         except NoEquilibriumFound:
-            eff_opt = 0.0
-        eff_fixed = 0.0
-        for j in range(1, alpha_steps):
-            eff = _robust_efficiency(j * fixed_K / alpha_steps, fixed_K, params, tol)
-            if eff is not None and eff > eff_fixed:
-                eff_fixed = eff
-        return (beta, eff_opt, eff_fixed)
+            return 0.0
 
-    return grid_map(one_beta, list(betas))
+    rows = []
+    for beta in betas:
+        params = PopulationParams.from_ratio(rho, beta, r)
+        rows.append((beta, best_efficiency(params), best_efficiency(params, [fixed_K])))
+    return rows

@@ -8,16 +8,21 @@ serving until it reaches K tokens and to stop serving there:
     M(K)   <= c/beta    (not worth earning the (K+1)-th)
 
 Robustness means both inequalities are strict; the protocol then survives
-small perturbations of (r, beta) because the two indifference gaps
+small perturbations of (r, beta) because the two indifference gaps, the low
+slack and the negated high slack,
 
     F(beta) = M(K-1, beta) - c/beta
-    G(beta) = M(K-1, beta) - (1 - 1/(rho(1-nu)) + 1/(rho(1-nu)beta)) * c/beta
+    G(beta) = M(K, beta)   - c/beta
 
-are continuous and strictly increasing in beta, with unique zeros beta_L
-(of F) and beta_H (of G) bracketing a non-degenerate equilibrium interval.
-G <= 0 is the stopping condition M(K) <= c/beta rewritten through the decay
-ratio q = -phi_l/(phi_c + phi_r): M(K) = q M(K-1).  The steady state, hence
-(mu, nu), does not depend on beta or r, so it is computed once per interval.
+are continuous with unique zeros beta_L (of F) and beta_H (of G) bracketing
+a non-degenerate equilibrium interval.  F is strictly increasing in beta; G
+has the sign of the strictly increasing
+
+    M(K-1, beta) - (1 - 1/(rho(1-nu)) + 1/(rho(1-nu)beta)) * c/beta
+
+because M(K) = q M(K-1) with the decay ratio q = -phi_l/(phi_c + phi_r) > 0.
+The steady state, hence (mu, nu), does not depend on beta or r, so it is
+computed once per interval.
 
 In r the interval is closed-form: M is linear in (b, c), so with A the
 marginal solution for (b, c) = (1, 0) and B for (0, 1),
@@ -34,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import InvalidSupply, NoRoot
 from .population import (
     PopulationParams,
@@ -45,7 +48,7 @@ from .population import (
     invariant_distribution,
 )
 from .serialize import csv_lines
-from .values import _thomas, coefficients, solve_marginals
+from .values import _solve_below, coefficients, solve_marginals
 
 ROOT_TOL = 1e-10  # bisection tolerance in the parameter (beta or w)
 CLASS_TOL = 1e-9  # slack tolerance separating boundary from robust/none
@@ -153,15 +156,10 @@ def beta_interval(
     steady = invariant_distribution(protocol)  # independent of beta and r
 
     def gap_low(beta: float) -> float:
-        params = PopulationParams.from_ratio(rho, beta, r)
-        m = solve_marginals(K, params, steady).M
-        return m[K - 1] - 1.0 / beta
+        return _slacks(K, PopulationParams.from_ratio(rho, beta, r), steady)[0]
 
     def gap_high(beta: float) -> float:
-        params = PopulationParams.from_ratio(rho, beta, r)
-        phi = coefficients(params, steady)
-        m = solve_marginals(K, params, steady).M
-        return m[K - 1] - 1.0 / (phi.decay * beta)
+        return -_slacks(K, PopulationParams.from_ratio(rho, beta, r), steady)[1]
 
     lo, hi = 1e-6, 1.0 - 1e-12
     if gap_low(hi) < 0.0:
@@ -183,26 +181,15 @@ def r_interval(
     # (b, c) only enter through the right-hand side, so M(K-1) splits into
     # b*A + c*B with A, B the unit solutions.
     params = PopulationParams.from_ratio(rho, beta, 2.0)  # b, c dummies here
-    A = _marginal_endpoint(K, params, steady, b=1.0, c=0.0)
-    B = _marginal_endpoint(K, params, steady, b=0.0, c=1.0)
+    phi = coefficients(params, steady)
+    A = float(_solve_below(K, phi, rho, steady, b=1.0, c=0.0)[K - 1])
+    B = float(_solve_below(K, phi, rho, steady, b=0.0, c=1.0)[K - 1])
     if A <= 0.0:
         raise NoRoot("benefit-side marginal vanished; no r interval")
-    q = coefficients(params, steady).decay
+    q = phi.decay
     r_lo = (1.0 / beta - B) / A
     r_hi = (1.0 / (q * beta) - B) / A
     return ParameterInterval(lo=r_lo, hi=r_hi, kind="r")
-
-
-def _marginal_endpoint(
-    K: int, params: PopulationParams, steady: SteadyState, b: float, c: float
-) -> float:
-    """M(K-1) for an arbitrary (b, c) right-hand side, reusing the
-    coefficient matrix (phi's depend only on rho, beta, mu, nu)."""
-    phi = coefficients(params, steady)
-    u = np.zeros(K)
-    u[0] += (1.0 - steady.nu) * params.rho * b
-    u[-1] += (1.0 - steady.mu) * params.rho * c
-    return float(_thomas(phi.phi_l, phi.phi_c, phi.phi_r, u)[K - 1])
 
 
 @dataclass(frozen=True)
@@ -268,17 +255,13 @@ def mixed_equilibrium_weight(
         raise ValueError("mixing requires a serving threshold K >= 1")
     if not (0.0 < alpha < K + 1):
         raise InvalidSupply(f"alpha must lie in (0, {K + 1}), got {alpha}")
-    bar = params.c / params.beta
+
+    def slacks(w: float) -> tuple[float, float]:
+        steady = invariant_distribution(Protocol(alpha, PopulationStrategy.mix(K, w)))
+        return _slacks(K, params, steady)
 
     def residual(w: float) -> float:
-        strategy = PopulationStrategy.mix(K, w)
-        steady = invariant_distribution(Protocol(alpha, strategy))
-        return solve_marginals(K, params, steady).M[K] - bar
-
-    def low_slack(w: float) -> float:
-        strategy = PopulationStrategy.mix(K, w)
-        steady = invariant_distribution(Protocol(alpha, strategy))
-        return solve_marginals(K, params, steady).M[K - 1] - bar
+        return -slacks(w)[1]  # M(K) - c/beta
 
     # w = 0 is the pure-K protocol, which needs alpha < K to have a steady
     # state; otherwise start the bracket just inside the mixed region.
@@ -300,6 +283,6 @@ def mixed_equilibrium_weight(
             else:
                 b = mid
         w = 0.5 * (a + b)
-    if low_slack(w) < -tol:
+    if slacks(w)[0] < -tol:
         return None
     return w

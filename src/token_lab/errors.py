@@ -25,7 +25,13 @@ class DegenerateState(TokenLabError):
 
 
 class NoConvergence(TokenLabError):
-    """A root bracket failed; cannot happen for validated inputs."""
+    """The steady-state tilt y leaves the fixed search range
+    ``population.TILT_BRACKET``.
+
+    Validated supplies can still raise it when alpha lies extremely close to 0
+    or to the top threshold (e.g. alpha = 1e-13 or 1 - 1e-13 with K = 1),
+    where the tilt needed to meet the mean condition is beyond the bracket.
+    """
 
 
 class NoRoot(TokenLabError):

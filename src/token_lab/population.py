@@ -74,20 +74,6 @@ class PopulationParams:
 
 
 @dataclass(frozen=True)
-class ThresholdStrategy:
-    """Serve while holding fewer than K tokens; stop at K and above."""
-
-    K: int
-
-    def __post_init__(self):
-        if self.K < 0 or self.K != int(self.K):
-            raise ValueError(f"threshold must be a non-negative integer, got {self.K}")
-
-    def serves(self, n: int) -> bool:
-        return n < self.K
-
-
-@dataclass(frozen=True)
 class PopulationStrategy:
     """Population mix over threshold strategies.
 
@@ -99,13 +85,13 @@ class PopulationStrategy:
     weights: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
+        if any(k < 0 or not float(k).is_integer() for k, _ in self.weights):
+            raise ValueError(f"thresholds must be non-negative integers, got {self.weights}")
         entries = tuple(sorted((int(k), float(w)) for k, w in self.weights if w != 0.0))
         if not entries:
             raise ValueError("strategy needs at least one threshold with weight > 0")
         ks = [k for k, _ in entries]
         ws = [w for _, w in entries]
-        if any(k < 0 for k in ks):
-            raise ValueError("thresholds must be non-negative integers")
         if len(ks) != len(set(ks)):
             raise ValueError("duplicate thresholds in strategy weights")
         if any(not (0.0 < w <= 1.0) for w in ws):
@@ -118,7 +104,7 @@ class PopulationStrategy:
 
     @classmethod
     def pure(cls, K: int) -> "PopulationStrategy":
-        return cls(((int(K), 1.0),))
+        return cls(((K, 1.0),))
 
     @classmethod
     def mix(cls, K: int, weight_high: float) -> "PopulationStrategy":
@@ -127,7 +113,7 @@ class PopulationStrategy:
             return cls.pure(K)
         if weight_high == 1.0:
             return cls.pure(K + 1)
-        return cls(((int(K), 1.0 - weight_high), (int(K) + 1, weight_high)))
+        return cls(((K, 1.0 - weight_high), (K + 1, weight_high)))
 
     @property
     def is_pure(self) -> bool:
@@ -146,10 +132,6 @@ class PopulationStrategy:
     def as_dict(self) -> dict[int, float]:
         return dict(self.weights)
 
-    def sigma(self, n: int) -> float:
-        """Fraction of the population serving at holding n."""
-        return sum(w for k, w in self.weights if n < k)
-
     def sigma_vector(self, length: int) -> np.ndarray:
         """sigma(0), ..., sigma(length-1) as an array."""
         n = np.arange(length)
@@ -157,13 +139,6 @@ class PopulationStrategy:
         for k, w in self.weights:
             out += w * (n < k)
         return out
-
-
-def sigma_gamma(strategy: PopulationStrategy, n) -> float | np.ndarray:
-    """Population service probability at holding(s) n."""
-    if np.ndim(n) == 0:
-        return strategy.sigma(int(n))
-    return strategy.sigma_vector(int(np.max(n)) + 1)[np.asarray(n, dtype=int)]
 
 
 @dataclass(frozen=True)
@@ -237,7 +212,6 @@ def _tilted_eta(log_prefix: np.ndarray, ks: np.ndarray, log_y: float) -> np.ndar
 def invariant_distribution(
     protocol: Protocol,
     rho: float | None = None,
-    mean_tol: float = MEAN_TOL,
 ) -> SteadyState:
     """Unique invariant token distribution of a protocol.
 
@@ -281,7 +255,7 @@ def invariant_distribution(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gap = mean_gap(mid)
-        if abs(gap) <= mean_tol:
+        if abs(gap) <= MEAN_TOL:
             break
         if gap < 0.0:
             lo = mid

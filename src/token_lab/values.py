@@ -114,18 +114,25 @@ def solve_marginals(
             "no below-threshold marginals"
         )
     phi = coefficients(params, steady)
-    rho, b, c = params.rho, params.b, params.c
-    u = np.zeros(K)
-    u[0] += (1.0 - steady.nu) * rho * b
-    u[-1] += (1.0 - steady.mu) * rho * c
-
-    below = _thomas(phi.phi_l, phi.phi_c, phi.phi_r, u)
+    below = _solve_below(K, phi, params.rho, steady, params.b, params.c)
 
     q = phi.decay
     m = np.empty(K + 1 + extra_above)
     m[:K] = below
     m[K:] = below[K - 1] * q ** np.arange(1, extra_above + 2)
     return MarginalProfile(K=K, M=m, V=None, params=params, steady=steady)
+
+
+def _solve_below(
+    K: int, phi: CoefficientTriple, rho: float, steady: SteadyState, b: float, c: float
+) -> np.ndarray:
+    """M(0..K-1) for an arbitrary (b, c) right-hand side.  The matrix depends
+    only on (rho, beta, mu, nu), so callers holding ``phi`` can reuse it for
+    several right-hand sides."""
+    u = np.zeros(K)
+    u[0] += (1.0 - steady.nu) * rho * b
+    u[-1] += (1.0 - steady.mu) * rho * c
+    return _thomas(phi.phi_l, phi.phi_c, phi.phi_r, u)
 
 
 def _thomas(lo: float, diag: float, hi: float, rhs: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from token_lab import (
     Protocol,
     bisection_design,
     check_equilibrium,
-    classification_sweep,
     efficiency,
     efficiency_bounds,
     exhaustive_scan,
@@ -191,48 +190,6 @@ def test_fig4_cap_and_gap():
                                  alpha_steps=60)
     assert all(row[2] <= 0.5625 + 1e-12 for row in rows)
     assert any(row[1] - row[2] > 0.2 for row in rows)
-
-
-def test_classification_grid_rows():
-    from token_lab import canonical_classification_grid
-    from token_lab.serialize import csv_lines
-
-    rows = canonical_classification_grid(0.5, [0.85, 0.9], [2.0, 3.0], k_max=4)
-    assert len(rows) == 2 * 2 * 4
-    csv = csv_lines(("beta", "r", "K", "class", "slack_low", "slack_high"), rows)
-    assert csv.splitlines()[0] == "beta,r,K,class,slack_low,slack_high"
-    # classification consistent with the slacks it reports
-    for beta, r, k, tag, sl, sh in rows:
-        if tag == "robust":
-            assert sl > 0 and sh > 0
-
-
-def test_bounds_grid_rows():
-    from token_lab import bounds_grid
-
-    rows = bounds_grid([0.3, 0.5], [0.8, 0.9], [2.0])
-    assert len(rows) == 4
-    for rho, beta, r, k_lo, k_hi in rows:
-        assert k_lo <= k_hi
-
-
-def test_efficiency_grid_rows():
-    from token_lab import efficiency_grid
-
-    rows = efficiency_grid(0.5, [0.88, 0.92], [2.0, 3.0], alpha_steps=40)
-    assert len(rows) == 4
-    for beta, r, k_star, alpha_star, eff_opt, eff_pik in rows:
-        assert eff_opt >= eff_pik
-
-
-def test_thread_env_var_does_not_change_results(monkeypatch):
-    import numpy as np
-
-    betas = np.linspace(0.8, 0.95, 6)
-    serial = classification_sweep(0.25, 0.5, 2.0, betas, k_max=3)
-    monkeypatch.setenv("TOKEN_LAB_THREADS", "4")
-    threaded = classification_sweep(0.25, 0.5, 2.0, betas, k_max=3)
-    assert serial == threaded
 
 
 def test_asymptotic_efficiency_trend():

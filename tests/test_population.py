@@ -9,7 +9,6 @@ from token_lab import (
     Protocol,
     invariant_distribution,
     one_step_update,
-    sigma_gamma,
 )
 from conftest import random_protocol
 
@@ -43,16 +42,10 @@ def test_tilted_distribution_against_quadratic_oracle():
     assert lhs == pytest.approx(0.1102, abs=1e-4)
 
 
-def test_sigma_gamma_examples():
-    pure3 = PopulationStrategy.pure(3)
-    assert sigma_gamma(pure3, 2) == 1.0
-    assert sigma_gamma(pure3, 3) == 0.0
-    mixed = PopulationStrategy.mix(3, 0.75)
-    assert sigma_gamma(mixed, 3) == pytest.approx(0.75)
-    assert np.allclose(sigma_gamma(mixed, [0, 3, 4]), [1.0, 0.75, 0.0])
-
-
 def test_sigma_profile_shape(rng):
+    assert PopulationStrategy.pure(3).sigma_vector(4)[[2, 3]].tolist() == [1.0, 0.0]
+    mixed = PopulationStrategy.mix(3, 0.75).sigma_vector(5)
+    assert np.allclose(mixed[[0, 3, 4]], [1.0, 0.75, 0.0])
     # values in [0,1], non-increasing, 1 below the support, 0 at and above it
     for _ in range(50):
         k = int(rng.integers(1, 20))
@@ -72,6 +65,10 @@ def test_strategy_validation():
         PopulationStrategy(((1, 0.4), (2, 0.4)))  # does not sum to 1
     with pytest.raises(ValueError):
         PopulationStrategy(((-1, 1.0),))
+    with pytest.raises(ValueError):
+        PopulationStrategy.pure(2.5)  # non-integer threshold
+    with pytest.raises(ValueError):
+        PopulationStrategy(((3.7, 1.0),))
 
 
 def test_invalid_supply():
