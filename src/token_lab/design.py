@@ -17,7 +17,8 @@ the equilibrium thresholds form a contiguous run and bisection lands on one
 in at most ceil(log2(K_H - K_L)) + 1 checks.
 
 The canonical supply K/2 need not be optimal: the grid search below often
-finds a higher threshold with fewer tokens strictly more efficient.
+finds a higher threshold with fewer tokens strictly more efficient.  It
+solves the grid row by row, once per command whatever its discount factors.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .equilibrium import (
     CLASS_TOL,
-    EquilibriumClass,
     EquilibriumReport,
+    _robust,
     _slacks,
     check_equilibrium,
     classify,
@@ -41,6 +44,7 @@ from .population import (
     PopulationStrategy,
     Protocol,
     SteadyState,
+    _pure_row,
     invariant_distribution,
 )
 
@@ -49,7 +53,11 @@ DEFAULT_ALPHA_STEPS = 200
 
 def efficiency(steady: SteadyState) -> float:
     """Fraction of matches that trade: (1 - mu)(1 - nu)."""
-    return (1.0 - steady.mu) * (1.0 - steady.nu)
+    return _efficiency(steady.mu, steady.nu)
+
+
+def _efficiency(mu, nu):
+    return (1.0 - mu) * (1.0 - nu)  # elementwise for arrays
 
 
 def efficiency_bounds(alpha: float, K: int) -> tuple[float, float]:
@@ -202,36 +210,57 @@ def optimal_protocol_search(
 ) -> SearchResult:
     """Grid search for the most efficient robust equilibrium protocol.
 
-    For each threshold K the supply grid is alpha = j*K/alpha_steps,
-    j = 1..alpha_steps-1; only robust classifications count.  Ties break
-    toward smaller K, then smaller alpha (iteration order does that).  The
-    upper threshold bound applies to any robust protocol, canonical or not,
-    so the default K range stops there.
+    For each threshold K >= 1 the supply grid is alpha = j*K/alpha_steps,
+    j = 1..alpha_steps-1 with alpha_steps >= 2 (ValueError otherwise); only
+    robust classifications count.  Ties break toward smaller K, then smaller
+    alpha (iteration order does that).  The upper threshold bound applies to
+    any robust protocol, canonical or not, so the default K range stops there.
     """
-    bounds = threshold_bounds(params)
-    if K_range is None:
-        K_range = range(1, max(1, math.floor(bounds.K_H)) + 1)
-    best: ProtocolChoice | None = None
-    best_canonical: ProtocolChoice | None = None
-    for K in K_range:
-        for j in range(1, alpha_steps):
-            alpha = j * K / alpha_steps
-            steady = invariant_distribution(Protocol(alpha, PopulationStrategy.pure(K)))
-            if classify(*_slacks(K, params, steady), tol) is not EquilibriumClass.ROBUST:
-                continue
-            eff = efficiency(steady)
-            if best is None or eff > best.efficiency:
-                best = ProtocolChoice(alpha=alpha, K=K, efficiency=eff)
-            if alpha == K / 2.0 and (
-                best_canonical is None or eff > best_canonical.efficiency
-            ):
-                best_canonical = ProtocolChoice(alpha=alpha, K=K, efficiency=eff)
-    if best is None:
+    (result,) = _grid_search([(params, K_range)], alpha_steps, tol)
+    if result is None:
         raise NoEquilibriumFound(
             f"no robust equilibrium protocol at rho={params.rho}, "
             f"beta={params.beta}, r={params.r}"
         )
-    return SearchResult(best=best, best_canonical=best_canonical)
+    return result
+
+
+def _grid_search(
+    searches: Sequence[tuple[PopulationParams, Iterable[int] | None]],
+    alpha_steps: int,
+    tol: float,
+) -> list[SearchResult | None]:
+    """Best robust protocol of each (params, K_range) search (None: K up to
+    floor(K_H)), or None where no cell is robust.  Steady states depend only on
+    (alpha, K): each row is solved once per call, its slacks once per search."""
+    if alpha_steps < 2:
+        raise ValueError(f"alpha_steps must be at least 2, got {alpha_steps}")
+    rows: dict[int, tuple] = {}  # K -> (alphas, eff, mu, nu, chunks of cells)
+    results = []
+    for params, ks in searches:
+        if ks is None:
+            ks = range(1, max(1, math.floor(threshold_bounds(params).K_H)) + 1)
+        best: list[ProtocolChoice | None] = [None, None]  # overall, canonical
+        for K in ks:
+            if K < 1 or K != int(K):
+                raise ValueError(f"thresholds must be integers >= 1, got {K}")
+            K = int(K)
+            if K not in rows:
+                alphas = np.arange(1, alpha_steps) * K / alpha_steps
+                # independent chunks of cells keep each (cells, K) array near 8 MB
+                parts = np.array_split(range(len(alphas)), 1 + len(alphas) * K // 2**20)
+                mu, nu = np.concatenate([_pure_row(K, alphas[s]) for s in parts], 1)
+                rows[K] = alphas, _efficiency(mu, nu), mu, nu, parts
+            alphas, eff, mu, nu, parts = rows[K]
+            slacks = [_slacks(K, params, mu[s], nu[s]) for s in parts]
+            robust = _robust(*np.concatenate(slacks, 1), tol)
+            for i, cells in enumerate((robust, robust & (alphas == K / 2.0))):
+                if cells.any():  # first cell of the row maximum, as a scan finds it
+                    j = np.flatnonzero(cells)[np.argmax(eff[cells])]
+                    if best[i] is None or eff[j] > best[i].efficiency:
+                        best[i] = ProtocolChoice(float(alphas[j]), K, float(eff[j]))
+        results.append(None if best[0] is None else SearchResult(*best))
+    return results
 
 
 def classification_sweep(
@@ -247,16 +276,15 @@ def classification_sweep(
     Thresholds K <= alpha are skipped (no bounded steady state).  mix_weight
     is the equilibrium weight on K+1 adjacent to K, NaN when none exists.
     """
-    thresholds = [K for K in range(1, k_max + 1) if alpha < K]
+    steadies = {K: invariant_distribution(Protocol(alpha, PopulationStrategy.pure(K)))
+                for K in range(1, k_max + 1) if alpha < K}
     rows = []
     for beta in betas:
         params = PopulationParams.from_ratio(rho, beta, r)
-        for K in thresholds:
-            report = check_equilibrium(
-                Protocol(alpha, PopulationStrategy.pure(K)), params, tol
-            )
+        for K, steady in steadies.items():
+            tag = classify(*_slacks(K, params, steady.mu, steady.nu), tol)
             w = mixed_equilibrium_weight(alpha, K, params, tol)
-            rows.append((beta, K, report.tag.value, math.nan if w is None else w))
+            rows.append((beta, K, tag.value, math.nan if w is None else w))
     return rows
 
 
@@ -271,12 +299,10 @@ def optimal_efficiency_sweep(
     protocol vs best robust canonical protocol.  Zeros mark betas where no
     robust equilibrium exists (the community stays at the no-trade outcome).
     """
+    searches = [(PopulationParams.from_ratio(rho, beta, r), None) for beta in betas]
     rows = []
-    for beta in betas:
-        params = PopulationParams.from_ratio(rho, beta, r)
-        try:
-            res = optimal_protocol_search(params, alpha_steps, tol=tol)
-        except NoEquilibriumFound:
+    for beta, res in zip(betas, _grid_search(searches, alpha_steps, tol)):
+        if res is None:
             rows.append((beta, 0, 0.0, 0.0, 0.0))
             continue
         eff_pik = 0.0 if res.best_canonical is None else res.best_canonical.efficiency
@@ -297,15 +323,9 @@ def fixed_threshold_sweep(
     eff_fixedK is the best robust protocol constrained to threshold fixed_K
     (supply free), 0 where no such equilibrium exists.
     """
-
-    def best_efficiency(params: PopulationParams, K_range=None) -> float:
-        try:
-            return optimal_protocol_search(params, alpha_steps, K_range, tol).best.efficiency
-        except NoEquilibriumFound:
-            return 0.0
-
-    rows = []
-    for beta in betas:
-        params = PopulationParams.from_ratio(rho, beta, r)
-        rows.append((beta, best_efficiency(params), best_efficiency(params, [fixed_K])))
-    return rows
+    envs = [PopulationParams.from_ratio(rho, beta, r) for beta in betas]
+    # fixed-K searches first, so a bad fixed_K fails before any row is solved
+    searches = [(p, [fixed_K]) for p in envs] + [(p, None) for p in envs]
+    effs = [0.0 if res is None else res.best.efficiency
+            for res in _grid_search(searches, alpha_steps, tol)]
+    return list(zip(betas, effs[len(envs) :], effs[: len(envs)]))

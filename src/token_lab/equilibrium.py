@@ -44,11 +44,10 @@ from .population import (
     PopulationParams,
     PopulationStrategy,
     Protocol,
-    SteadyState,
     invariant_distribution,
 )
 from .serialize import csv_lines
-from .values import _solve_below, coefficients, solve_marginals
+from .values import _coefficients, _solve_below, coefficients
 
 ROOT_TOL = 1e-10  # bisection tolerance in the parameter (beta or w)
 CLASS_TOL = 1e-9  # slack tolerance separating boundary from robust/none
@@ -99,9 +98,15 @@ class ParameterInterval:
 def classify(slack_low: float, slack_high: float, tol: float = CLASS_TOL) -> EquilibriumClass:
     if slack_low < -tol or slack_high < -tol:
         return EquilibriumClass.NOT_EQUILIBRIUM
-    if min(slack_low, slack_high) <= tol:
+    if not _robust(slack_low, slack_high, tol):
         return EquilibriumClass.BOUNDARY
     return EquilibriumClass.ROBUST
+
+
+def _robust(low, high, tol: float):
+    """Whether ``classify`` calls the slacks ROBUST (both clear tol, and -tol
+    when tol < 0), elementwise for arrays."""
+    return (low > tol) & (high > tol) & (low >= -tol) & (high >= -tol)
 
 
 def _pure_threshold(protocol: Protocol) -> int:
@@ -111,12 +116,13 @@ def _pure_threshold(protocol: Protocol) -> int:
     return K
 
 
-def _slacks(
-    K: int, params: PopulationParams, steady: SteadyState
-) -> tuple[float, float]:
-    m = solve_marginals(K, params, steady).M
+def _slacks(K: int, params: PopulationParams, mu, nu) -> tuple:
+    """Slacks M(K-1) - c/beta and c/beta - M(K) of a threshold-K server at the
+    steady state (mu, nu); arrays (mu, nu) take one batched Thomas sweep."""
+    phi = _coefficients(params, mu, nu)
+    m_low = _solve_below(K, phi, params.rho, mu, nu, params.b, params.c)[K - 1]
     bar = params.c / params.beta
-    return m[K - 1] - bar, bar - m[K]
+    return m_low - bar, bar - m_low * phi.decay
 
 
 def check_equilibrium(
@@ -131,7 +137,7 @@ def check_equilibrium(
     """
     K = _pure_threshold(protocol)
     steady = invariant_distribution(protocol)
-    slack_low, slack_high = _slacks(K, params, steady)
+    slack_low, slack_high = _slacks(K, params, steady.mu, steady.nu)
     return EquilibriumReport(classify(slack_low, slack_high, tol), slack_low, slack_high)
 
 
@@ -154,12 +160,13 @@ def beta_interval(
         raise ValueError(f"benefit/cost ratio must exceed 1, got {r}")
     K = _pure_threshold(protocol)
     steady = invariant_distribution(protocol)  # independent of beta and r
+    mu, nu = steady.mu, steady.nu
 
     def gap_low(beta: float) -> float:
-        return _slacks(K, PopulationParams.from_ratio(rho, beta, r), steady)[0]
+        return _slacks(K, PopulationParams.from_ratio(rho, beta, r), mu, nu)[0]
 
     def gap_high(beta: float) -> float:
-        return -_slacks(K, PopulationParams.from_ratio(rho, beta, r), steady)[1]
+        return -_slacks(K, PopulationParams.from_ratio(rho, beta, r), mu, nu)[1]
 
     lo, hi = 1e-6, 1.0 - 1e-12
     if gap_low(hi) < 0.0:
@@ -182,8 +189,8 @@ def r_interval(
     # b*A + c*B with A, B the unit solutions.
     params = PopulationParams.from_ratio(rho, beta, 2.0)  # b, c dummies here
     phi = coefficients(params, steady)
-    A = float(_solve_below(K, phi, rho, steady, b=1.0, c=0.0)[K - 1])
-    B = float(_solve_below(K, phi, rho, steady, b=0.0, c=1.0)[K - 1])
+    A = float(_solve_below(K, phi, rho, steady.mu, steady.nu, b=1.0, c=0.0)[K - 1])
+    B = float(_solve_below(K, phi, rho, steady.mu, steady.nu, b=0.0, c=1.0)[K - 1])
     if A <= 0.0:
         raise NoRoot("benefit-side marginal vanished; no r interval")
     q = phi.decay
@@ -258,7 +265,7 @@ def mixed_equilibrium_weight(
 
     def slacks(w: float) -> tuple[float, float]:
         steady = invariant_distribution(Protocol(alpha, PopulationStrategy.mix(K, w)))
-        return _slacks(K, params, steady)
+        return _slacks(K, params, steady.mu, steady.nu)
 
     def residual(w: float) -> float:
         return -slacks(w)[1]  # M(K) - c/beta

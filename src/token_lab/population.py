@@ -202,11 +202,11 @@ class SteadyState:
         }
 
 
-def _tilted_eta(log_prefix: np.ndarray, ks: np.ndarray, log_y: float) -> np.ndarray:
-    # log-space keeps y^k finite over the whole bracket even for large support
+def _tilted_eta(log_prefix: np.ndarray, ks: np.ndarray, log_y) -> np.ndarray:
+    # log-space keeps y^k finite over the bracket; a column of tilts, one eta each
     lw = log_prefix + ks * log_y
-    w = np.exp(lw - lw.max())
-    return w / w.sum()
+    w = np.exp(lw - lw.max(-1, keepdims=lw.ndim > 1))
+    return w / w.sum(-1, keepdims=w.ndim > 1)
 
 
 def invariant_distribution(
@@ -268,6 +268,37 @@ def invariant_distribution(
     return SteadyState(
         eta=eta, mu=float(eta[0]), nu=nu, alpha=protocol.alpha, strategy=strategy
     )
+
+
+def _pure_row(K: int, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, nu) of the pure threshold-K protocols at every supply in ``alphas``:
+    the bisection of ``invariant_distribution`` run in lockstep across the row,
+    so each cell stops at the same tilt as its scalar solve."""
+    log_prefix = np.zeros(K + 1)  # sigma = 1 below a pure threshold
+    ks = np.arange(K + 1, dtype=float)
+    lo, hi = (np.full(len(alphas), math.log(t)) for t in TILT_BRACKET)
+    mean_lo, mean_hi = (float(ks @ _tilted_eta(log_prefix, ks, t[0])) for t in (lo, hi))
+    todo = alphas != K / 2.0  # the canonical supply is uniform, y = 1
+    outside = todo & ((mean_lo - alphas > 0.0) | (mean_hi - alphas < 0.0))
+    if outside.any():
+        raise NoConvergence(
+            f"tilt bracket {TILT_BRACKET} does not straddle alpha={alphas[outside][0]}"
+        )
+    mid = np.zeros(len(alphas))
+    for _ in range(200):
+        idx = np.flatnonzero(todo)
+        if idx.size == 0:
+            break
+        mid[idx] = 0.5 * (lo[idx] + hi[idx])
+        eta = _tilted_eta(log_prefix, ks, mid[idx, None])
+        # per-row dot products sum as the scalar solve does (eta @ ks does not)
+        gap = (eta[:, None, :] @ ks[:, None])[:, 0, 0] - alphas[idx]
+        todo[idx[np.abs(gap) <= MEAN_TOL]] = False
+        lo[idx] = np.where(gap < 0.0, mid[idx], lo[idx])
+        hi[idx] = np.where(gap < 0.0, hi[idx], mid[idx])
+    eta = _tilted_eta(log_prefix, ks, mid[:, None])
+    eta[alphas == K / 2.0] = 1.0 / (K + 1)
+    return eta[:, 0].copy(), eta[:, K].copy()  # views would keep eta alive
 
 
 def one_step_update(eta, strategy: PopulationStrategy, rho: float) -> np.ndarray:

@@ -55,8 +55,12 @@ class CoefficientTriple:
 
 def coefficients(params: PopulationParams, steady: SteadyState) -> CoefficientTriple:
     """Tridiagonal coefficients for the given environment and steady state."""
-    mu, nu = steady.mu, steady.nu
-    if mu >= 1.0 or nu >= 1.0:
+    return _coefficients(params, steady.mu, steady.nu)
+
+
+def _coefficients(params: PopulationParams, mu, nu) -> CoefficientTriple:
+    """Coefficients for scalar (mu, nu), or one per cell for arrays."""
+    if (np.maximum(mu, nu) >= 1.0).any():  # np.any is slow on floats
         raise DegenerateState(f"mu={mu}, nu={nu}: no trade ever happens")
     rb = params.rho * params.beta
     return CoefficientTriple(
@@ -114,7 +118,7 @@ def solve_marginals(
             "no below-threshold marginals"
         )
     phi = coefficients(params, steady)
-    below = _solve_below(K, phi, params.rho, steady, params.b, params.c)
+    below = _solve_below(K, phi, params.rho, steady.mu, steady.nu, params.b, params.c)
 
     q = phi.decay
     m = np.empty(K + 1 + extra_above)
@@ -124,34 +128,31 @@ def solve_marginals(
 
 
 def _solve_below(
-    K: int, phi: CoefficientTriple, rho: float, steady: SteadyState, b: float, c: float
+    K: int, phi: CoefficientTriple, rho: float, mu, nu, b: float, c: float
 ) -> np.ndarray:
     """M(0..K-1) for an arbitrary (b, c) right-hand side.  The matrix depends
     only on (rho, beta, mu, nu), so callers holding ``phi`` can reuse it for
-    several right-hand sides."""
-    u = np.zeros(K)
-    u[0] += (1.0 - steady.nu) * rho * b
-    u[-1] += (1.0 - steady.mu) * rho * c
+    several right-hand sides.  Arrays (mu, nu) give one column per cell."""
+    u = np.zeros((K,) + getattr(mu, "shape", ()))  # np.shape is slow on a float
+    u[0] += (1.0 - nu) * rho * b
+    u[-1] += (1.0 - mu) * rho * c
     return _thomas(phi.phi_l, phi.phi_c, phi.phi_r, u)
 
 
-def _thomas(lo: float, diag: float, hi: float, rhs: np.ndarray) -> np.ndarray:
-    """Forward-elimination/back-substitution sweep for a Toeplitz tridiagonal
-    system; stable without pivoting thanks to strict diagonal dominance."""
+def _thomas(lo, diag, hi, rhs: np.ndarray) -> np.ndarray:
+    """Thomas sweep for a Toeplitz tridiagonal system (one per column of ``rhs``
+    for coefficient arrays); strict diagonal dominance makes pivoting needless."""
     n = len(rhs)
-    cp = np.empty(n)
-    dp = np.empty(n)
+    cp, dp = np.empty(rhs.shape), np.empty(rhs.shape)
     cp[0] = hi / diag
     dp[0] = rhs[0] / diag
     for i in range(1, n):
         denom = diag - lo * cp[i - 1]
         cp[i] = hi / denom
         dp[i] = (rhs[i] - lo * dp[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = dp[-1]
     for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+        dp[i] -= cp[i] * dp[i + 1]  # back-substitution in place: dp becomes x
+    return dp
 
 
 def _sigma_profile(K: int, n: int, sigma=None) -> np.ndarray:

@@ -252,3 +252,17 @@ def test_twelve_significant_digits(capsys):
     eta0 = out.splitlines()[1].split(",")[1]
     assert eta0 == "0.553972282678"
     assert "," in out and "." in eta0
+
+
+def test_grid_flag_validation_exit_code(capsys):
+    # a grid with no interior supply, or a threshold that never serves, is a
+    # bad flag rather than a solver failure
+    window = ("--rho", "0.5", "--r", "2", "--beta-min", "0.8", "--beta-max", "0.9",
+              "--beta-steps", "2")
+    for steps in ("0", "1"):
+        for argv in (("optimize", "--rho", "0.5", "--beta", "0.9", "--r", "2"),
+                     ("fig3", *window), ("fig4", *window)):
+            code, out, err = run_cli(capsys, *argv, "--alpha-steps", steps)
+            assert (code, out) == (2, "") and "alpha_steps" in err, argv
+    code, out, err = run_cli(capsys, "fig4", *window, "--fixed-k", "0")
+    assert (code, out) == (2, "") and "thresholds" in err

@@ -56,6 +56,12 @@ ARGVS = (
     ("fig4", "--rho", "0.5", "--r", "2", "--beta-min", "0.88",
      "--beta-max", "0.92", "--beta-steps", "2", "--fixed-k", "9",
      "--alpha-steps", "30"),
+    # the K range runs to floor(K_H), which grows with beta across the window
+    ("fig3", "--rho", "0.4", "--r", "2.5", "--beta-min", "0.8",
+     "--beta-max", "0.97", "--beta-steps", "6", "--alpha-steps", "16"),
+    ("fig4", "--rho", "0.4", "--r", "2.5", "--beta-min", "0.8",
+     "--beta-max", "0.97", "--beta-steps", "6", "--fixed-k", "12",
+     "--alpha-steps", "16"),
     ("simulate", "--agents", "200", "--steps", "30", "--seed", "42",
      "--alpha", "1", "--k", "2", "--rho", "0.4"),
 )

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from token_lab import (
     NoEquilibriumFound,
     PopulationParams,
     PopulationStrategy,
     Protocol,
+    ProtocolChoice,
+    SearchResult,
     bisection_design,
     check_equilibrium,
     efficiency,
@@ -21,7 +24,11 @@ from token_lab import (
     optimal_protocol_search,
     threshold_bounds,
 )
+from token_lab.equilibrium import EquilibriumClass, _robust, _slacks, classify
+from token_lab.population import _pure_row
 from conftest import random_protocol
+
+ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def test_canonical_efficiency():
@@ -177,6 +184,130 @@ def test_optimal_search_no_equilibrium():
         optimal_protocol_search(
             PopulationParams.from_ratio(0.5, 0.3, 1.2), alpha_steps=40
         )
+
+
+def test_optimal_search_rejects_bad_grid():
+    params = PopulationParams.from_ratio(0.5, 0.9, 2.0)
+    for steps in (-3, 0, 1):  # no interior supply on the grid
+        with pytest.raises(ValueError, match="alpha_steps"):
+            optimal_protocol_search(params, alpha_steps=steps)
+    for K_range in ([0], [2, -1], [1.5]):  # K = 0 never serves
+        with pytest.raises(ValueError, match="thresholds"):
+            optimal_protocol_search(params, alpha_steps=10, K_range=K_range)
+
+
+def _scan_search(params, alpha_steps, K_range):
+    """The search one cell at a time: a scalar steady solve and equilibrium
+    check per (K, alpha), in the documented tie-breaking order."""
+    best = best_canonical = None
+    for K in K_range:
+        for j in range(1, alpha_steps):
+            protocol = Protocol(j * K / alpha_steps, PopulationStrategy.pure(K))
+            if check_equilibrium(protocol, params).tag.value != "robust":
+                continue
+            choice = ProtocolChoice(
+                protocol.alpha, K, efficiency(invariant_distribution(protocol))
+            )
+            if best is None or choice.efficiency > best.efficiency:
+                best = choice
+            if protocol.alpha == K / 2 and (
+                best_canonical is None or choice.efficiency > best_canonical.efficiency
+            ):
+                best_canonical = choice
+    return None if best is None else SearchResult(best, best_canonical)
+
+
+@ORACLE
+@given(K=st.integers(1, 40), alpha_steps=st.sampled_from([2, 7, 16, 200]))
+def test_row_steady_states_match_scalar_solve(K, alpha_steps):
+    alphas = np.arange(1, alpha_steps) * K / alpha_steps
+    mu, nu = _pure_row(K, alphas)
+    for j, alpha in enumerate(alphas):
+        steady = invariant_distribution(Protocol(float(alpha), PopulationStrategy.pure(K)))
+        assert abs(mu[j] - steady.mu) <= np.spacing(steady.mu)
+        assert abs(nu[j] - steady.nu) <= np.spacing(steady.nu)
+    # the grid solves long rows in chunks of cells, which must not move a bit
+    head = _pure_row(K, alphas[: len(alphas) // 2 + 1])
+    assert all(np.array_equal(h, x[: len(h)]) for h, x in zip(head, (mu, nu)))
+
+
+@ORACLE
+@given(
+    K=st.integers(1, 40),
+    alpha_steps=st.sampled_from([2, 7, 16, 200]),
+    rho=st.floats(0.05, 0.5),
+    beta=st.floats(0.5, 0.99),
+    r=st.floats(1.1, 8.0),
+)
+def test_row_classes_match_check_equilibrium(K, alpha_steps, rho, beta, r):
+    params = PopulationParams.from_ratio(rho, beta, r)
+    alphas = np.arange(1, alpha_steps) * K / alpha_steps
+    low, high = _slacks(K, params, *_pure_row(K, alphas))
+    for j, alpha in enumerate(alphas):
+        report = check_equilibrium(Protocol(float(alpha), PopulationStrategy.pure(K)), params)
+        assert (low[j], high[j]) == (report.slack_low, report.slack_high)
+        assert classify(low[j], high[j]) is report.tag
+
+
+def test_robust_mask_matches_classify():
+    # edge slacks at and around +-tol, for the default, zero and negative tol
+    low, high = np.meshgrid(*2 * [[-1.0, -1e-9, 0.0, 1e-9, 2e-9, 1.0]])
+    for tol in (1e-9, 0.0, -1e-9):
+        tags = [classify(lo, hi, tol) for lo, hi in zip(low.flat, high.flat)]
+        expected = [tag is EquilibriumClass.ROBUST for tag in tags]
+        assert _robust(low, high, tol).ravel().tolist() == expected
+
+
+@ORACLE
+@given(
+    rho=st.floats(0.2, 0.5),
+    r=st.floats(1.5, 3.0),
+    beta=st.floats(0.75, 0.93),
+    alpha_steps=st.sampled_from([2, 7, 16]),
+    fixed_K=st.integers(1, 12),
+)
+def test_grid_search_matches_per_cell_scan(rho, r, beta, alpha_steps, fixed_K):
+    params = PopulationParams.from_ratio(rho, beta, r)
+    default = range(1, max(1, math.floor(threshold_bounds(params).K_H)) + 1)
+    for K_range in (None, [fixed_K], [fixed_K, 1]):
+        expected = _scan_search(params, alpha_steps, default if K_range is None else K_range)
+        if expected is None:
+            with pytest.raises(NoEquilibriumFound):
+                optimal_protocol_search(params, alpha_steps, K_range)
+        else:
+            assert optimal_protocol_search(params, alpha_steps, K_range) == expected
+
+
+@ORACLE
+@given(
+    rho=st.floats(0.2, 0.5),
+    r=st.floats(1.5, 3.0),
+    beta_min=st.floats(0.6, 0.93),
+    beta_steps=st.integers(1, 6),
+    alpha_steps=st.sampled_from([2, 7, 16]),
+    fixed_K=st.integers(1, 12),
+)
+def test_sweeps_match_per_beta_searches(rho, r, beta_min, beta_steps, alpha_steps, fixed_K):
+    betas = np.linspace(beta_min, beta_min + 0.04, beta_steps)
+
+    def search(beta, K_range=None):
+        params = PopulationParams.from_ratio(rho, beta, r)
+        try:
+            return optimal_protocol_search(params, alpha_steps, K_range)
+        except NoEquilibriumFound:
+            return None
+
+    fig3, fig4 = [], []
+    for beta in betas:
+        res, fixed = search(beta), search(beta, [fixed_K])
+        if res is None:
+            fig3.append((beta, 0, 0.0, 0.0, 0.0))
+        else:
+            pik = 0.0 if res.best_canonical is None else res.best_canonical.efficiency
+            fig3.append((beta, res.best.K, res.best.alpha, res.best.efficiency, pik))
+        fig4.append((beta, fig3[-1][3], 0.0 if fixed is None else fixed.best.efficiency))
+    assert optimal_efficiency_sweep(rho, r, betas, alpha_steps) == fig3
+    assert fixed_threshold_sweep(rho, r, betas, fixed_K, alpha_steps) == fig4
 
 
 def test_fig3_shape():
