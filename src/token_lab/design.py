@@ -31,12 +31,13 @@ import numpy as np
 
 from .equilibrium import (
     CLASS_TOL,
+    ROOT_TOL,
     EquilibriumReport,
+    _mixed_weight,
     _robust,
     _slacks,
     check_equilibrium,
     classify,
-    mixed_equilibrium_weight,
 )
 from .errors import NoEquilibriumFound
 from .population import (
@@ -276,14 +277,18 @@ def classification_sweep(
     Thresholds K <= alpha are skipped (no bounded steady state).  mix_weight
     is the equilibrium weight on K+1 adjacent to K, NaN when none exists.
     """
-    steadies = {K: invariant_distribution(Protocol(alpha, PopulationStrategy.pure(K)))
-                for K in range(1, k_max + 1) if alpha < K}
+    pure = {K: invariant_distribution(Protocol(alpha, PopulationStrategy.pure(K)))
+            for K in range(1, k_max + 2) if alpha < K}
+    # steady states of the mix {K, K+1}, shared across betas; its weights 0
+    # and 1 are the pure K and K+1 protocols
+    mixes = {K: {0.0: (pure[K].mu, pure[K].nu), 1.0: (pure[K + 1].mu, pure[K + 1].nu)}
+             for K in pure if K <= k_max}
     rows = []
     for beta in betas:
         params = PopulationParams.from_ratio(rho, beta, r)
-        for K, steady in steadies.items():
-            tag = classify(*_slacks(K, params, steady.mu, steady.nu), tol)
-            w = mixed_equilibrium_weight(alpha, K, params, tol)
+        for K, states in mixes.items():
+            tag = classify(*_slacks(K, params, *states[0.0]), tol)
+            w = _mixed_weight(alpha, K, params, states, tol, ROOT_TOL)
             rows.append((beta, K, tag.value, math.nan if w is None else w))
     return rows
 

@@ -262,10 +262,28 @@ def mixed_equilibrium_weight(
         raise ValueError("mixing requires a serving threshold K >= 1")
     if not (0.0 < alpha < K + 1):
         raise InvalidSupply(f"alpha must lie in (0, {K + 1}), got {alpha}")
+    return _mixed_weight(alpha, K, params, {}, tol, w_tol)
+
+
+def _mixed_weight(
+    alpha: float,
+    K: int,
+    params: PopulationParams,
+    states: dict[float, tuple[float, float]],
+    tol: float,
+    w_tol: float,
+) -> float | None:
+    """``mixed_equilibrium_weight`` given ``states``, the steady states
+    w -> (mu, nu) of the mix {K: 1-w, K+1: w} at ``alpha`` solved so far; it
+    gains every weight solved here.  They do not depend on ``params``, so a
+    caller sweeping beta passes one dict per (alpha, K) and solves each
+    weight once."""
 
     def slacks(w: float) -> tuple[float, float]:
-        steady = invariant_distribution(Protocol(alpha, PopulationStrategy.mix(K, w)))
-        return _slacks(K, params, steady.mu, steady.nu)
+        if w not in states:
+            steady = invariant_distribution(Protocol(alpha, PopulationStrategy.mix(K, w)))
+            states[w] = steady.mu, steady.nu
+        return _slacks(K, params, *states[w])
 
     def residual(w: float) -> float:
         return -slacks(w)[1]  # M(K) - c/beta

@@ -25,12 +25,13 @@ class DegenerateState(TokenLabError):
 
 
 class NoConvergence(TokenLabError):
-    """The steady-state tilt y leaves the fixed search range
-    ``population.TILT_BRACKET``.
+    """The steady-state tilt solve used up ``population.MAX_TILT_STEPS``
+    evaluations without meeting its stop test.
 
-    Validated supplies can still raise it when alpha lies extremely close to 0
-    or to the top threshold (e.g. alpha = 1e-13 or 1 - 1e-13 with K = 1),
-    where the tilt needed to meet the mean condition is beyond the bracket.
+    The search bracket is derived from alpha, so it always contains the tilt,
+    and the safeguarded Newton steps stop in under 20 evaluations across
+    supplies from 1e-300 to the top threshold; the error marks a solve that
+    would otherwise return an unchecked tilt.
     """
 
 

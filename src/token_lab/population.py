@@ -18,24 +18,25 @@ where sigma(j) is the population service probability at holding j and the
 tilt y equals (1 - mu)/(1 - nu) with mu = eta(0) (fraction unable to buy) and
 nu = sum_k eta(k)(1 - sigma(k)) (fraction unwilling to serve).  The tilt
 identity holds for every y by telescoping the balance equations, so the mean
-condition sum_k k*eta(k) = alpha alone pins y down; the mean is strictly
-increasing in y, which makes bisection exact.  The matching rate rho cancels
-from the fixed-point condition, so the invariant distribution never depends
-on it.
+condition sum_k k*eta(k) = alpha alone pins y down.  As a function of the
+log-tilt t = log y the mean is strictly increasing, with derivative
+Var_eta(k), so safeguarded Newton steps in t find it in a few evaluations.
+The matching rate rho cancels from the fixed-point condition, so the
+invariant distribution never depends on it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSupply, NoConvergence
 from .serialize import csv_lines
 
-# Bisection bracket for the tilt y and tolerance on the mean condition.
-TILT_BRACKET = (1e-12, 1e12)
+# Tolerance on the mean condition, relative to min(1, alpha, top - alpha), and
+# the cap on tilt evaluations per solve.
 MEAN_TOL = 1e-13
+MAX_TILT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -179,6 +180,8 @@ class SteadyState:
     nu: float
     alpha: float
     strategy: PopulationStrategy = field(repr=False)
+    iterations: int = 0  # tilt evaluations; 0 on the canonical uniform shortcut
+    residual: float = 0.0  # |mean - alpha| where the solve stopped
 
     def __post_init__(self):
         self.eta.setflags(write=False)
@@ -209,6 +212,23 @@ def _tilted_eta(log_prefix: np.ndarray, ks: np.ndarray, log_y) -> np.ndarray:
     return w / w.sum(-1, keepdims=w.ndim > 1)
 
 
+def _tilt_bracket(log_prefix: np.ndarray, a):
+    """Log-tilts (lo, hi) with mean(eta_lo) < a < mean(eta_hi), for supplies
+    0 < a < n = len(log_prefix) - 1 (elementwise for an array of supplies).
+
+    With p = log_prefix (p(0) = 0) and t <= 0, mean(eta_t) <= e^(t + max p)
+    n(n+1)/2; with t >= 0, n - mean(eta_t) <= e^(-t + max p - p(n)) n(n+1)/2.
+    Each end keeps a factor 2 of margin, so no evaluation or expansion is
+    needed to trust the signs.
+    """
+    n = len(log_prefix) - 1
+    log_scale, spread = np.log(n * (n + 1.0)), log_prefix.max()
+    return (
+        np.log(a) - log_scale - spread,
+        log_scale - np.log(n - a) + spread - log_prefix[-1],
+    )
+
+
 def invariant_distribution(
     protocol: Protocol,
     rho: float | None = None,
@@ -218,9 +238,21 @@ def invariant_distribution(
     ``rho`` is accepted for interface symmetry with the transition dynamics
     but cancels from the fixed-point condition and never affects the result.
 
-    The tilt y is found by bisection of the strictly increasing map
-    y -> mean(eta_y) over the bracket (1e-12, 1e12); a pure threshold K with
-    alpha = K/2 short-circuits to the exact uniform distribution (y = 1).
+    The log-tilt t = log y starts at 0 and takes Newton steps on
+    log(mean(eta_t)) = log(alpha), whose derivative is Var/mean (so a mean
+    that decays like e^t, as for tiny supplies, is met in one step), inside a
+    sign bracket derived from alpha (``_tilt_bracket``); a step that leaves
+    the bracket is replaced by its midpoint.  A supply above top/2 is solved
+    on the mirrored distribution (holdings top - k, supply top - alpha, tilt
+    -t), so with a = min(alpha, top - alpha) the stop test
+    |mean - a| <= MEAN_TOL * min(1, a) meets supplies near 0 and near the top
+    in relative terms.  The solve also stops when no float is left inside the
+    bracket (t exact to the last bit, as for large thresholds whose mean
+    carries more rounding than the tolerance).  ``iterations`` counts the
+    evaluations and ``residual`` is the final |mean - a|; more than
+    MAX_TILT_STEPS evaluations raise ``NoConvergence``.  A pure threshold K
+    with alpha = K/2 short-circuits to the exact uniform distribution (y = 1,
+    no iteration).
     """
     if rho is not None and not (0.0 < rho <= 0.5):
         raise ValueError(f"rho must be in (0, 1/2], got {rho}")
@@ -240,65 +272,89 @@ def invariant_distribution(
     sig = strategy.sigma_vector(top)  # sigma(0..top-1); all > 0 inside support
     log_prefix = np.concatenate(([0.0], np.cumsum(np.log(sig))))
     ks = np.arange(top + 1, dtype=float)
+    mirror = protocol.alpha > top / 2.0
+    if mirror:  # eta(top - k) at tilt -t has the mirrored prefix and supply
+        log_prefix = log_prefix[::-1] - log_prefix[-1]
+    a = top - protocol.alpha if mirror else protocol.alpha
+    lo, hi = (float(x) for x in _tilt_bracket(log_prefix, a))
+    tol = MEAN_TOL * min(1.0, a)
 
-    lo, hi = (math.log(t) for t in TILT_BRACKET)
-
-    def mean_gap(log_y: float) -> float:
-        eta = _tilted_eta(log_prefix, ks, log_y)
-        return float(ks @ eta) - protocol.alpha
-
-    if mean_gap(lo) > 0.0 or mean_gap(hi) < 0.0:
-        raise NoConvergence(
-            f"tilt bracket {TILT_BRACKET} does not straddle alpha={protocol.alpha}"
-        )
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gap = mean_gap(mid)
-        if abs(gap) <= MEAN_TOL:
+    t, log_a = 0.0, np.log(a)
+    for step in range(1, MAX_TILT_STEPS + 1):
+        eta = _tilted_eta(log_prefix, ks, t)
+        mean = float(ks @ eta)
+        gap = mean - a
+        if abs(gap) <= tol:
             break
         if gap < 0.0:
-            lo = mid
+            lo = t
         else:
-            hi = mid
+            hi = t
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # no float left inside the bracket: t is exact to the last bit
+        dev = ks - mean
+        var = float((dev * dev) @ eta)
+        newton = t - (np.log(mean) - log_a) * mean / var if var > 0.0 else hi
+        t = newton if lo < newton < hi else mid
+    else:
+        raise NoConvergence(
+            f"tilt solve for alpha={protocol.alpha} left |mean - alpha| = "
+            f"{abs(gap):.3g} after {MAX_TILT_STEPS} steps"
+        )
 
-    eta = _tilted_eta(log_prefix, ks, mid)
+    if mirror:
+        eta = eta[::-1]
     sig_full = strategy.sigma_vector(top + 1)
     nu = float(eta @ (1.0 - sig_full))
     return SteadyState(
-        eta=eta, mu=float(eta[0]), nu=nu, alpha=protocol.alpha, strategy=strategy
+        eta=eta, mu=float(eta[0]), nu=nu, alpha=protocol.alpha, strategy=strategy,
+        iterations=step, residual=abs(gap),
     )
 
 
 def _pure_row(K: int, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu, nu) of the pure threshold-K protocols at every supply in ``alphas``:
-    the bisection of ``invariant_distribution`` run in lockstep across the row,
-    so each cell stops at the same tilt as its scalar solve."""
-    log_prefix = np.zeros(K + 1)  # sigma = 1 below a pure threshold
+    the Newton iteration of ``invariant_distribution`` run in lockstep across
+    the row, so each cell stops at the same tilt as its scalar solve."""
+    log_prefix = np.zeros(K + 1)  # sigma = 1 below K, so the mirrored prefix is the same
     ks = np.arange(K + 1, dtype=float)
-    lo, hi = (np.full(len(alphas), math.log(t)) for t in TILT_BRACKET)
-    mean_lo, mean_hi = (float(ks @ _tilted_eta(log_prefix, ks, t[0])) for t in (lo, hi))
-    todo = alphas != K / 2.0  # the canonical supply is uniform, y = 1
-    outside = todo & ((mean_lo - alphas > 0.0) | (mean_hi - alphas < 0.0))
-    if outside.any():
-        raise NoConvergence(
-            f"tilt bracket {TILT_BRACKET} does not straddle alpha={alphas[outside][0]}"
-        )
-    mid = np.zeros(len(alphas))
-    for _ in range(200):
-        idx = np.flatnonzero(todo)
+    mirror = alphas > K / 2.0
+    a = np.where(mirror, K - alphas, alphas)
+    lo, hi = _tilt_bracket(log_prefix, a)
+    tol = MEAN_TOL * np.minimum(1.0, a)
+    t, log_a = np.zeros(len(alphas)), np.log(a)
+    idx = np.flatnonzero(alphas != K / 2.0)  # the canonical supply is uniform, y = 1
+    for _ in range(MAX_TILT_STEPS):
         if idx.size == 0:
             break
-        mid[idx] = 0.5 * (lo[idx] + hi[idx])
-        eta = _tilted_eta(log_prefix, ks, mid[idx, None])
+        eta = _tilted_eta(log_prefix, ks, t[idx, None])
         # per-row dot products sum as the scalar solve does (eta @ ks does not)
-        gap = (eta[:, None, :] @ ks[:, None])[:, 0, 0] - alphas[idx]
-        todo[idx[np.abs(gap) <= MEAN_TOL]] = False
-        lo[idx] = np.where(gap < 0.0, mid[idx], lo[idx])
-        hi[idx] = np.where(gap < 0.0, hi[idx], mid[idx])
-    eta = _tilted_eta(log_prefix, ks, mid[:, None])
+        mean = (eta[:, None, :] @ ks[:, None])[:, 0, 0]
+        gap = mean - a[idx]
+        lo[idx] = np.where(gap < 0.0, t[idx], lo[idx])
+        hi[idx] = np.where(gap < 0.0, hi[idx], t[idx])
+        mid = 0.5 * (lo[idx] + hi[idx])
+        live = (np.abs(gap) > tol[idx]) & (lo[idx] < mid) & (mid < hi[idx])
+        # a finished cell leaves idx, so its tilt never moves again
+        idx, mean, eta, mid = (x[live] for x in (idx, mean, eta, mid))
+        dev = ks - mean[:, None]
+        dev *= dev
+        var = (eta[:, None, :] @ dev[:, :, None])[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(
+                var > 0.0, t[idx] - (np.log(mean) - log_a[idx]) * mean / var, hi[idx]
+            )
+        t[idx] = np.where((lo[idx] < newton) & (newton < hi[idx]), newton, mid)
+    if idx.size:
+        raise NoConvergence(
+            f"tilt solve for alpha={alphas[idx[0]]} did not converge in "
+            f"{MAX_TILT_STEPS} steps"
+        )
+    eta = _tilted_eta(log_prefix, ks, t[:, None])
     eta[alphas == K / 2.0] = 1.0 / (K + 1)
-    return eta[:, 0].copy(), eta[:, K].copy()  # views would keep eta alive
+    mu, nu = np.where(mirror, eta[:, K], eta[:, 0]), np.where(mirror, eta[:, 0], eta[:, K])
+    return mu, nu  # fresh arrays: views would keep eta alive
 
 
 def one_step_update(eta, strategy: PopulationStrategy, rho: float) -> np.ndarray:

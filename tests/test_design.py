@@ -15,15 +15,19 @@ from token_lab import (
     SearchResult,
     bisection_design,
     check_equilibrium,
+    classification_sweep,
     efficiency,
     efficiency_bounds,
     exhaustive_scan,
     fixed_threshold_sweep,
     invariant_distribution,
+    mixed_equilibrium_weight,
     optimal_efficiency_sweep,
     optimal_protocol_search,
     threshold_bounds,
 )
+import token_lab.design as design_module
+import token_lab.equilibrium as equilibrium_module
 from token_lab.equilibrium import EquilibriumClass, _robust, _slacks, classify
 from token_lab.population import _pure_row
 from conftest import random_protocol
@@ -308,6 +312,32 @@ def test_sweeps_match_per_beta_searches(rho, r, beta_min, beta_steps, alpha_step
         fig4.append((beta, fig3[-1][3], 0.0 if fixed is None else fixed.best.efficiency))
     assert optimal_efficiency_sweep(rho, r, betas, alpha_steps) == fig3
     assert fixed_threshold_sweep(rho, r, betas, fixed_K, alpha_steps) == fig4
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.5])
+def test_sweep_solves_each_steady_state_once(monkeypatch, alpha):
+    # rows as per-beta public calls give them, from one solve per protocol
+    betas = np.linspace(0.7, 0.95, 12)
+    expected = []
+    for beta in betas:
+        params = PopulationParams.from_ratio(0.5, beta, 2.0)
+        for K in range(2 if alpha > 1 else 1, 5):
+            tag = check_equilibrium(Protocol(alpha, PopulationStrategy.pure(K)), params).tag
+            w = mixed_equilibrium_weight(alpha, K, params)
+            expected.append((beta, K, tag.value, math.nan if w is None else w))
+
+    solved = []
+
+    def counting(protocol, rho=None):
+        solved.append((protocol.alpha, protocol.strategy.weights))
+        return invariant_distribution(protocol, rho)
+
+    for module in (design_module, equilibrium_module):
+        monkeypatch.setattr(module, "invariant_distribution", counting)
+    rows = classification_sweep(alpha, 0.5, 2.0, betas, k_max=4)
+    assert [r[:3] for r in rows] == [r[:3] for r in expected]
+    np.testing.assert_array_equal([r[3] for r in rows], [r[3] for r in expected])
+    assert len(solved) == len(set(solved))
 
 
 def test_fig3_shape():

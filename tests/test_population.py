@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from token_lab import (
     InvalidSupply,
+    NoConvergence,
     PopulationStrategy,
     Protocol,
     invariant_distribution,
     one_step_update,
 )
+from token_lab import population
+from token_lab.population import MEAN_TOL
 from conftest import random_protocol
 
 
@@ -78,12 +82,56 @@ def test_invalid_supply():
         Protocol(0.0, PopulationStrategy.pure(3))
 
 
-def test_supply_outside_tilt_bracket_raises():
-    from token_lab import NoConvergence
+def test_supplies_at_the_edges_meet_closed_form():
+    # K = 1 has eta = (1 - alpha, alpha) however close alpha is to 0 or 1
+    for alpha in (1e-13, 1 - 1e-13):
+        s = invariant_distribution(Protocol(alpha, PopulationStrategy.pure(1)))
+        assert s.mu == pytest.approx(1 - alpha, rel=1e-9)
+        assert s.nu == pytest.approx(alpha, rel=1e-9)
+    s = invariant_distribution(Protocol(1e-13, PopulationStrategy.pure(5)))
+    assert float(np.arange(6) @ s.eta) == pytest.approx(1e-13, rel=1e-9)
 
-    # supplies below the bracket's reach fail loudly instead of silently
+
+def test_tilt_step_cap_raises(monkeypatch):
+    # a solve that runs out of steps raises instead of returning its last tilt
+    monkeypatch.setattr(population, "MAX_TILT_STEPS", 2)
     with pytest.raises(NoConvergence):
-        invariant_distribution(Protocol(1e-13, PopulationStrategy.pure(5)))
+        invariant_distribution(Protocol(0.6, PopulationStrategy.pure(2)))
+    with pytest.raises(NoConvergence):
+        population._pure_row(2, np.array([0.6, 1.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    K=st.integers(1, 10),
+    w=st.sampled_from([0.0, 1e-6, 0.5, 0.97]),
+    side=st.one_of(
+        st.tuples(st.just(False), st.floats(-300.0, -0.01)),
+        st.tuples(st.just(True), st.floats(-15.0, -0.01)),
+    ),
+)
+def test_log_spaced_supplies_meet_mean_condition(K, w, side):
+    # alpha sits 10**e * top away from 0, or from the top: the mean condition
+    # holds relative to that distance, in a bounded number of steps
+    strat = PopulationStrategy.mix(K, w)
+    top = strat.max_support
+    upper, e = side
+    alpha = top - top * 10.0**e if upper else top * 10.0**e
+    s = invariant_distribution(Protocol(alpha, strat))
+    ks = np.arange(top + 1)
+    assert abs(ks @ s.eta - alpha) <= 1e-12 * alpha
+    assert abs((top - ks) @ s.eta - (top - alpha)) <= 1e-12 * (top - alpha)
+    assert s.iterations <= 20
+
+
+def test_grid_solves_take_few_newton_steps():
+    # every supply of the designer's grids: iterations and residual on the result
+    for K in range(1, 41):
+        for steps in (2, 7, 16, 200):
+            for alpha in np.arange(1, steps) * K / steps:
+                s = invariant_distribution(Protocol(float(alpha), PopulationStrategy.pure(K)))
+                assert (s.iterations == 0) == (alpha == K / 2) and s.iterations <= 15
+                assert s.residual <= MEAN_TOL * min(1.0, alpha, K - alpha)
 
 
 def test_update_keeps_uniform_fixed():
