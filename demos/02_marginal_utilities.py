@@ -4,9 +4,9 @@ What is one more token worth?
 
 Whether agents comply with a protocol hinges on the marginal utility
 M(k) = V(k+1) - V(k) of holding one extra token.  The library computes it
-three independent ways (a tridiagonal solve for the marginals, a dense linear
-solve for the values, and plain fixed-point iteration) and they agree to
-solver precision -- a useful property when one of them is refactored.
+three independent ways (the closed-form solution of a tridiagonal system for
+the marginals, a dense linear solve for the values, and plain fixed-point
+iteration) and they agree to solver precision -- a useful property when one of them is refactored.
 
 An agent keeps serving while beta*M(k) >= c: the marginal token must be worth
 the serving cost, after one period of discounting.

@@ -47,11 +47,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", type=Path, default=None, help="write to file instead of stdout")
 
 
-def _add_tols(p: argparse.ArgumentParser) -> None:
+def _add_tol_class(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-class", type=float, default=CLASS_TOL,
                    help="slack tolerance for equilibrium classification")
-    p.add_argument("--tol-root", type=float, default=ROOT_TOL,
-                   help="bisection tolerance for interval endpoints")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
-    _add_tols(p)
+    _add_tol_class(p)
     _add_common(p)
 
     p = sub.add_parser("beta-interval", help="discount-factor equilibrium interval")
@@ -93,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
-    _add_tols(p)
+    p.add_argument("--tol-root", type=float, default=ROOT_TOL,
+                   help="bisection tolerance for interval endpoints")
     _add_common(p)
 
     p = sub.add_parser("r-interval", help="benefit/cost-ratio equilibrium interval")
@@ -101,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    _add_tols(p)
     _add_common(p)
 
     p = sub.add_parser("bounds", help="threshold bracket [K_L, K_H] as JSON")
@@ -114,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
-    _add_tols(p)
+    _add_tol_class(p)
     _add_common(p)
 
     p = sub.add_parser("optimize", help="grid search for the best robust protocol")
@@ -122,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--alpha-steps", type=int, default=DEFAULT_ALPHA_STEPS)
-    _add_tols(p)
+    _add_tol_class(p)
     _add_common(p)
 
     p = sub.add_parser("sweep", help="classification sweep CSV beta,K,class,mix_weight")
@@ -133,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=float, required=True)
     p.add_argument("--beta-steps", type=int, required=True)
     p.add_argument("--k-max", type=int, default=10)
-    _add_tols(p)
+    _add_tol_class(p)
     _add_common(p)
 
     p = sub.add_parser("fig3", help="optimal vs canonical efficiency sweep CSV")
@@ -220,7 +218,7 @@ def _run(args) -> None:
         _emit(json_text({"kind": iv.kind, "lo": iv.lo, "hi": iv.hi}), args.output)
     elif cmd == "r-interval":
         protocol = Protocol(args.alpha, PopulationStrategy.pure(args.k))
-        iv = r_interval(protocol, args.rho, args.beta, tol=args.tol_root)
+        iv = r_interval(protocol, args.rho, args.beta)
         _emit(json_text({"kind": iv.kind, "lo": iv.lo, "hi": iv.hi}), args.output)
     elif cmd == "bounds":
         params = PopulationParams.from_ratio(args.rho, args.beta, args.r)

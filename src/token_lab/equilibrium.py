@@ -47,7 +47,7 @@ from .population import (
     invariant_distribution,
 )
 from .serialize import csv_lines
-from .values import _coefficients, _solve_below, coefficients
+from .values import _coefficients, _marginal, coefficients
 
 ROOT_TOL = 1e-10  # bisection tolerance in the parameter (beta or w)
 CLASS_TOL = 1e-9  # slack tolerance separating boundary from robust/none
@@ -118,9 +118,9 @@ def _pure_threshold(protocol: Protocol) -> int:
 
 def _slacks(K: int, params: PopulationParams, mu, nu) -> tuple:
     """Slacks M(K-1) - c/beta and c/beta - M(K) of a threshold-K server at the
-    steady state (mu, nu); arrays (mu, nu) take one batched Thomas sweep."""
+    steady state (mu, nu), for scalars or elementwise for arrays."""
     phi = _coefficients(params, mu, nu)
-    m_low = _solve_below(K, phi, params.rho, mu, nu, params.b, params.c)[K - 1]
+    m_low = _marginal(K - 1, K, phi, params.beta, params.b, params.c)
     bar = params.c / params.beta
     return m_low - bar, bar - m_low * phi.decay
 
@@ -142,7 +142,8 @@ def check_equilibrium(
 
 
 def _bisect_increasing(f, lo: float, hi: float, tol: float) -> float:
-    """Root of an increasing function with f(lo) < 0 < f(hi)."""
+    """A root of a continuous f with f(lo) < 0 < f(hi), by bisection on the
+    sign of f (the root of an increasing f)."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
@@ -178,19 +179,18 @@ def beta_interval(
     return ParameterInterval(lo=beta_l, hi=beta_h, kind="beta")
 
 
-def r_interval(
-    protocol: Protocol, rho: float, beta: float, tol: float = ROOT_TOL
-) -> ParameterInterval:
+def r_interval(protocol: Protocol, rho: float, beta: float) -> ParameterInterval:
     """Equilibrium interval [r_L, r_H] in the benefit/cost ratio (closed form
     via linearity of the marginals in (b, c))."""
     K = _pure_threshold(protocol)
     steady = invariant_distribution(protocol)
-    # (b, c) only enter through the right-hand side, so M(K-1) splits into
-    # b*A + c*B with A, B the unit solutions.
+    # (b, c) only enter through the ghost values M(-1) = b/beta and
+    # M(K) = c/beta, so M(K-1) splits into b*A + c*B with A, B the unit
+    # solutions.
     params = PopulationParams.from_ratio(rho, beta, 2.0)  # b, c dummies here
     phi = coefficients(params, steady)
-    A = float(_solve_below(K, phi, rho, steady.mu, steady.nu, b=1.0, c=0.0)[K - 1])
-    B = float(_solve_below(K, phi, rho, steady.mu, steady.nu, b=0.0, c=1.0)[K - 1])
+    A = float(_marginal(K - 1, K, phi, beta, b=1.0, c=0.0))
+    B = float(_marginal(K - 1, K, phi, beta, b=0.0, c=1.0))
     if A <= 0.0:
         raise NoRoot("benefit-side marginal vanished; no r interval")
     q = phi.decay
@@ -226,7 +226,9 @@ def interval_interleaving(
     tol: float = ROOT_TOL,
 ) -> InterleavingTable:
     """Intervals for the protocols Pi_1..Pi_{K_max} plus the strict
-    interleaving verdict: consecutive intervals overlap but never nest."""
+    interleaving verdict: consecutive intervals overlap but never nest.
+    ``tol`` is the bisection tolerance of beta intervals; r intervals are
+    closed-form."""
     if (r is None) == (beta is None):
         raise ValueError("fix exactly one of r (beta intervals) or beta (r intervals)")
     if K_max < 1:
@@ -235,7 +237,7 @@ def interval_interleaving(
     if r is not None:
         ivs = [beta_interval(Protocol.pi_k(k), rho, r, tol) for k in ks]
     else:
-        ivs = [r_interval(Protocol.pi_k(k), rho, beta, tol) for k in ks]
+        ivs = [r_interval(Protocol.pi_k(k), rho, beta) for k in ks]
     chain = all(
         prev.lo < cur.lo < prev.hi < cur.hi for prev, cur in zip(ivs, ivs[1:])
     )
@@ -299,15 +301,8 @@ def _mixed_weight(
     elif f_lo * f_hi > 0.0:
         return None
     else:
-        a, b, fa = w_lo, 1.0, f_lo
-        while b - a > w_tol:
-            mid = 0.5 * (a + b)
-            fm = residual(mid)
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        w = 0.5 * (a + b)
+        sign = 1.0 if f_lo < 0.0 else -1.0
+        w = _bisect_increasing(lambda x: sign * residual(x), w_lo, 1.0, w_tol)
     if slacks(w)[0] < -tol:
         return None
     return w

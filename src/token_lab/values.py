@@ -17,14 +17,31 @@ tridiagonal system
 
 with phi_l = -(1-nu)*rho*beta, phi_c = 1-beta+((1-nu)+(1-mu))*rho*beta,
 phi_r = -(1-mu)*rho*beta.  The sign relations phi_l, phi_r < 0 < phi_c and
-phi_c > -phi_l - phi_r make the matrix strictly diagonally dominant, so the
-two-sweep elimination needs no pivoting.  Above the threshold the marginals
-decay geometrically: M(K+j) = q^j * M(K) with q = -phi_l/(phi_c+phi_r) in
-(0, 1).
+phi_c > -phi_l - phi_r make the matrix strictly diagonally dominant, hence
+invertible.  Above the threshold the marginals decay geometrically:
+M(K+j) = q^j * M(K) with q = -phi_l/(phi_c+phi_r) in (0, 1).
+
+The ghost values M(-1) = b/beta and M(K) = c/beta turn the first and last
+rows into the interior recursion phi_l M(k-1) + phi_c M(k) + phi_r M(k+1) = 0.
+Its characteristic polynomial phi_r x^2 + phi_c x + phi_l is negative at 0
+and equals 1-beta > 0 at 1, so its roots satisfy 0 < s < 1 < L, and the
+solution that meets both ghost values is, for 0 <= k < K,
+
+    M(k) = [b s^(k+1) expm1((K-k) l) + c L^(k-K) expm1((k+1) l)]
+           / (beta expm1((K+1) l)),
+
+with s = 2 phi_l / (-phi_c - sqrt(phi_c^2 - 4 phi_l phi_r)), L = phi_l /
+(phi_r s) and l = log(s/L) = 2 log s - log(phi_l/phi_r) < 0.  Each term of
+the numerator has the sign of the denominator, so nothing cancels, not even
+as beta -> 1 where s and L both tend to 1; and no power is positive, so
+nothing overflows.  It is evaluated with NumPy ufuncs only (np.power, np.log,
+np.expm1, np.sqrt), never ``**`` on NumPy scalars: a scalar ``**`` and the
+array loop of np.power may round differently, and a batch of cells must give
+the slacks of the one-cell call bit for bit.
 
 Three independent routes are provided and cross-check each other in the test
-suite: the tridiagonal sweep for M, a direct linear solve for V, and a
-fixed-point iteration of the value recursion (contraction modulus beta).
+suite: the closed form for M, a direct linear solve for V, and a fixed-point
+iteration of the value recursion (contraction modulus beta).
 """
 
 from __future__ import annotations
@@ -109,8 +126,9 @@ def solve_marginals(
 ) -> MarginalProfile:
     """Marginal utilities M(0..K) of a pure threshold-K server.
 
-    M(0..K-1) solves the tridiagonal system; M(K) and the optional
-    ``extra_above`` diagnostics follow the geometric decay M(K+j) = q^j M(K).
+    M(0..K-1) is the closed-form solution of the tridiagonal system; M(K) and
+    the optional ``extra_above`` diagnostics follow the geometric decay
+    M(K+j) = q^j M(K).
     """
     if K < 1:
         raise ValueError(
@@ -118,41 +136,23 @@ def solve_marginals(
             "no below-threshold marginals"
         )
     phi = coefficients(params, steady)
-    below = _solve_below(K, phi, params.rho, steady.mu, steady.nu, params.b, params.c)
-
-    q = phi.decay
     m = np.empty(K + 1 + extra_above)
-    m[:K] = below
-    m[K:] = below[K - 1] * q ** np.arange(1, extra_above + 2)
+    m[:K] = _marginal(np.arange(K), K, phi, params.beta, params.b, params.c)
+    m[K:] = m[K - 1] * phi.decay ** np.arange(1, extra_above + 2)
     return MarginalProfile(K=K, M=m, V=None, params=params, steady=steady)
 
 
-def _solve_below(
-    K: int, phi: CoefficientTriple, rho: float, mu, nu, b: float, c: float
-) -> np.ndarray:
-    """M(0..K-1) for an arbitrary (b, c) right-hand side.  The matrix depends
-    only on (rho, beta, mu, nu), so callers holding ``phi`` can reuse it for
-    several right-hand sides.  Arrays (mu, nu) give one column per cell."""
-    u = np.zeros((K,) + getattr(mu, "shape", ()))  # np.shape is slow on a float
-    u[0] += (1.0 - nu) * rho * b
-    u[-1] += (1.0 - mu) * rho * c
-    return _thomas(phi.phi_l, phi.phi_c, phi.phi_r, u)
-
-
-def _thomas(lo, diag, hi, rhs: np.ndarray) -> np.ndarray:
-    """Thomas sweep for a Toeplitz tridiagonal system (one per column of ``rhs``
-    for coefficient arrays); strict diagonal dominance makes pivoting needless."""
-    n = len(rhs)
-    cp, dp = np.empty(rhs.shape), np.empty(rhs.shape)
-    cp[0] = hi / diag
-    dp[0] = rhs[0] / diag
-    for i in range(1, n):
-        denom = diag - lo * cp[i - 1]
-        cp[i] = hi / denom
-        dp[i] = (rhs[i] - lo * dp[i - 1]) / denom
-    for i in range(n - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]  # back-substitution in place: dp becomes x
-    return dp
+def _marginal(k, K: int, phi: CoefficientTriple, beta: float, b: float, c: float):
+    """M(k) for 0 <= k < K and an arbitrary (b, c), from the two-root form in
+    the module docstring.  ``k`` may be an array (with scalar coefficients),
+    or ``phi`` may hold one coefficient per cell (with one k)."""
+    phi_l, phi_c, phi_r = phi.phi_l, phi.phi_c, phi.phi_r
+    s = 2.0 * phi_l / (-phi_c - np.sqrt(phi_c * phi_c - 4.0 * phi_l * phi_r))
+    ell = 2.0 * np.log(s) - np.log(phi_l / phi_r)
+    L = phi_l / (phi_r * s)
+    low = b * np.power(s, k + 1) * np.expm1((K - k) * ell)
+    high = c * np.power(L, k - K) * np.expm1((k + 1) * ell)
+    return (low + high) / (beta * np.expm1((K + 1) * ell))
 
 
 def _sigma_profile(K: int, n: int, sigma=None) -> np.ndarray:
@@ -172,22 +172,16 @@ def _value_system(
     mu, nu = steady.mu, steady.nu
     if mu >= 1.0 or nu >= 1.0:
         raise DegenerateState(f"mu={mu}, nu={nu}: no trade ever happens")
-    rho, beta, b, c = params.rho, params.beta, params.b, params.c
-    n = K + 2
-    sig = _sigma_profile(K, n, sigma)
-
-    A = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for k in range(n):
-        serve = rho * sig[k] * (1.0 - mu)  # serve and get paid
-        buy = rho * (1.0 - nu) if k >= 1 else 0.0  # buy when a token is held
-        A[k, k] = 1.0 - params.beta * (1.0 - serve - buy)
-        if k >= 1:
-            A[k, k - 1] = -beta * buy
-        if k + 1 < n:
-            A[k, k + 1] = -beta * serve
-        rhs[k] = buy * b - serve * c
-    return A, rhs
+    rho, beta = params.rho, params.beta
+    serve = rho * _sigma_profile(K, K + 2, sigma) * (1.0 - mu)  # serve and get paid
+    buy = np.full(K + 2, rho * (1.0 - nu))  # buy when a token is held
+    buy[0] = 0.0
+    A = (
+        np.diag(1.0 - beta * (1.0 - serve - buy))
+        + np.diag(-beta * buy[1:], -1)
+        + np.diag(-beta * serve[:-1], 1)
+    )
+    return A, buy * params.b - serve * params.c
 
 
 def solve_values(

@@ -266,3 +266,23 @@ def test_grid_flag_validation_exit_code(capsys):
             assert (code, out) == (2, "") and "alpha_steps" in err, argv
     code, out, err = run_cli(capsys, "fig4", *window, "--fixed-k", "0")
     assert (code, out) == (2, "") and "thresholds" in err
+
+
+_ENV = ("--rho", "0.5", "--r", "2")
+_PROTOCOL = ("--alpha", "0.5", "--k", "1", "--rho", "0.5")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", *_PROTOCOL, "--beta", "0.8", "--r", "2", "--tol-root", "1e-8"),
+    ("design", *_ENV, "--beta", "0.85", "--tol-root", "1e-8"),
+    ("optimize", *_ENV, "--beta", "0.9", "--tol-root", "1e-8"),
+    ("sweep", "--alpha", "0.25", *_ENV, "--beta-min", "0.8", "--beta-max", "0.9",
+     "--beta-steps", "2", "--tol-root", "1e-8"),
+    ("r-interval", *_PROTOCOL, "--beta", "0.85", "--tol-root", "1e-8"),
+    ("r-interval", *_PROTOCOL, "--beta", "0.85", "--tol-class", "1e-8"),
+    ("beta-interval", *_PROTOCOL, "--r", "2", "--tol-class", "1e-8"),
+])
+def test_unread_tolerance_flags_are_rejected(capsys, argv):
+    # each subcommand registers only the tolerance it reads
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
